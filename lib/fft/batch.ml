@@ -27,9 +27,11 @@ let n t = t.n
 let parallel t = Engine.parallel t.engine
 let formula t = Engine.formula t.engine
 
+let execute_into t ~src ~dst = Engine.execute_into t.engine ~src ~dst
+
 let execute t x =
   let y = Cvec.create (Engine.size t.engine) in
-  Engine.execute_into t.engine ~src:x ~dst:y;
+  execute_into t ~src:x ~dst:y;
   y
 
 let execute_many t xs =

@@ -23,6 +23,10 @@ val formula : t -> Spiral_spl.Formula.t
 val execute : t -> Spiral_util.Cvec.t -> Spiral_util.Cvec.t
 (** Input and output are [count * n] complex elements. *)
 
+val execute_into : t -> src:Spiral_util.Cvec.t -> dst:Spiral_util.Cvec.t -> unit
+(** As {!execute} into a caller-provided vector; allocation-free in
+    steady state.  [src] and [dst] must be distinct. *)
+
 val execute_many : t -> Spiral_util.Cvec.t array -> Spiral_util.Cvec.t array
 (** Transform a whole sequence of inputs inside a single parallel region
     ({!Spiral_smp.Par_exec.execute_many}): one pool dispatch and one

@@ -31,9 +31,11 @@ let plan ?(threads = 1) ?(mu = 4) n =
 let n t = Engine.size t.engine
 let parallel t = Engine.parallel t.engine
 
+let execute_into t ~src ~dst = Engine.execute_into t.engine ~src ~dst
+
 let execute t x =
   let y = Cvec.create (Engine.size t.engine) in
-  Engine.execute_into t.engine ~src:x ~dst:y;
+  execute_into t ~src:x ~dst:y;
   y
 
 let destroy t = Engine.destroy t.engine

@@ -14,6 +14,10 @@ val parallel : t -> bool
 
 val execute : t -> Spiral_util.Cvec.t -> Spiral_util.Cvec.t
 
+val execute_into : t -> src:Spiral_util.Cvec.t -> dst:Spiral_util.Cvec.t -> unit
+(** As {!execute} into a caller-provided vector; allocation-free in
+    steady state.  [src] and [dst] must be distinct. *)
+
 val destroy : t -> unit
 
 val with_plan : ?threads:int -> ?mu:int -> int -> (t -> 'a) -> 'a

@@ -14,7 +14,9 @@ type entry = {
   out_floats : int;  (* reply payload length *)
   parallel : bool;
   exec : float array -> float array;
+  exec_into : float array -> float array -> unit;
   destroy : unit -> unit;
+  mutable out : float array;  (* [output]'s buffer; [||] until first use *)
   mutable last_used : float;
 }
 
@@ -23,7 +25,7 @@ type t = {
   mu : int;
   max_total : int;
   max_plans : int;
-  table : (string, entry) Hashtbl.t;  (* key carries the seq flag *)
+  table : (bool * string, entry) Hashtbl.t;  (* (seq, descriptor) *)
   lock : Mutex.t;
 }
 
@@ -74,7 +76,9 @@ let io_floats problem =
 (* Build the executable closure for a parsed problem.  Front-end plan
    constructors raise Invalid_argument on sizes they cannot serve (odd
    real lengths, non-power-of-two WHT, …) — surfaced as [Unsupported],
-   never as an exception out of the service. *)
+   never as an exception out of the service.  Each kind contributes only
+   its front-end's allocation-free [*_into]; the allocating [exec] is
+   derived from it, so both run the same code. *)
 let build t ~seq problem descriptor =
   let threads = if seq then 1 else t.threads in
   let mu = t.mu in
@@ -95,12 +99,12 @@ let build t ~seq problem descriptor =
               | Problem.Inverse -> Dft.Inverse
             in
             let p = Dft.plan ~direction:dir ~threads ~mu n in
-            ( (fun x -> Dft.execute p x),
+            ( (fun src dst -> Dft.execute_into p ~src ~dst),
               (fun () -> Dft.destroy p),
               Dft.parallel p )
         | Problem.Dft, Problem.Forward, count ->
             let p = Batch.plan ~threads ~mu ~count n in
-            ( (fun x -> Batch.execute p x),
+            ( (fun src dst -> Batch.execute_into p ~src ~dst),
               (fun () -> Batch.destroy p),
               Batch.parallel p )
         | Problem.Dft, Problem.Inverse, _ ->
@@ -108,41 +112,54 @@ let build t ~seq problem descriptor =
         | Problem.Dft2d, _, _ ->
             let dims = Problem.dims problem in
             let p = Dft2d.plan ~threads ~mu ~rows:dims.(0) ~cols:dims.(1) () in
-            ( (fun x -> Dft2d.execute p x),
+            ( (fun src dst -> Dft2d.execute_into p ~src ~dst),
               (fun () -> Dft2d.destroy p),
               Dft2d.parallel p )
         | Problem.Wht, _, _ ->
             let p = Wht.plan ~threads ~mu n in
-            ( (fun x -> Wht.execute p x),
+            ( (fun src dst -> Wht.execute_into p ~src ~dst),
               (fun () -> Wht.destroy p),
               Wht.parallel p )
         | Problem.Rfft, Problem.Forward, _ ->
             let p = Rfft.plan ~threads ~mu n in
-            ((fun x -> Rfft.forward p x), (fun () -> Rfft.destroy p), Rfft.parallel p)
+            ( (fun src dst -> Rfft.forward_into p ~src ~dst),
+              (fun () -> Rfft.destroy p),
+              Rfft.parallel p )
         | Problem.Rfft, Problem.Inverse, _ ->
             let p = Rfft.plan ~threads ~mu n in
-            ((fun x -> Rfft.inverse p x), (fun () -> Rfft.destroy p), Rfft.parallel p)
+            ( (fun src dst -> Rfft.inverse_into p ~src ~dst),
+              (fun () -> Rfft.destroy p),
+              Rfft.parallel p )
         | Problem.Rdft2d, dir, _ -> (
             let dims = Problem.dims problem in
             let p = Rfft2d.plan ~threads ~mu ~rows:dims.(0) ~cols:dims.(1) () in
             match dir with
             | Problem.Forward ->
-                ( (fun x -> Rfft2d.forward p x),
+                ( (fun src dst -> Rfft2d.forward_into p ~src ~dst),
                   (fun () -> Rfft2d.destroy p),
                   Rfft2d.parallel p )
             | Problem.Inverse ->
-                ( (fun x -> Rfft2d.inverse p x),
+                ( (fun src dst -> Rfft2d.inverse_into p ~src ~dst),
                   (fun () -> Rfft2d.destroy p),
                   Rfft2d.parallel p ))
         | Problem.Dct, Problem.Forward, _ ->
             let p = Dct.plan ~threads ~mu n in
-            ((fun x -> Dct.forward p x), (fun () -> Dct.destroy p), Dct.parallel p)
+            ( (fun src dst -> Dct.forward_into p ~src ~dst),
+              (fun () -> Dct.destroy p),
+              Dct.parallel p )
         | Problem.Dct, Problem.Inverse, _ ->
             let p = Dct.plan ~threads ~mu n in
-            ((fun x -> Dct.inverse p x), (fun () -> Dct.destroy p), Dct.parallel p)
+            ( (fun src dst -> Dct.inverse_into p ~src ~dst),
+              (fun () -> Dct.destroy p),
+              Dct.parallel p )
       in
       match mk () with
-      | exec, destroy, parallel ->
+      | exec_into, destroy, parallel ->
+          let exec src =
+            let dst = Array.make out_floats 0.0 in
+            exec_into src dst;
+            dst
+          in
           Ok
             {
               descriptor;
@@ -150,12 +167,19 @@ let build t ~seq problem descriptor =
               out_floats;
               parallel;
               exec;
+              exec_into;
               destroy;
+              out = [||];
               last_used = Unix.gettimeofday ();
             }
       | exception Invalid_argument msg -> Error (Engine.Unsupported msg))
 
-let key ~seq descriptor = if seq then "seq!" ^ descriptor else descriptor
+(* lazily, so a table used only through [exec] (a cold lookup + one
+   call) never pays for a second output array *)
+let output e =
+  if Array.length e.out <> e.out_floats then
+    e.out <- Array.make e.out_floats 0.0;
+  e.out
 
 (* caller holds the lock *)
 let evict_lru_locked t =
@@ -174,21 +198,25 @@ let evict_lru_locked t =
       Spiral_util.Counters.incr "service.plan_evicted_lru")
     victim
 
+(* The key is the seq flag and the raw descriptor string, and an entry
+   exists only if that string parsed under this table's [max_total]: a
+   hit needs no parse.  The flag is a separate component rather than a
+   prefix, so no descriptor can collide with another entry's key. *)
 let lookup ?(seq = false) t descriptor =
-  match Engine.parse_problem ~limit:t.max_total descriptor with
-  | Error e -> Error e
-  | Ok problem -> (
-      let k = key ~seq descriptor in
-      match
-        with_lock t (fun () ->
-            match Hashtbl.find_opt t.table k with
-            | Some e ->
-                e.last_used <- Unix.gettimeofday ();
-                Some e
-            | None -> None)
-      with
-      | Some e -> Ok e
-      | None -> (
+  let k = (seq, descriptor) in
+  match
+    with_lock t (fun () ->
+        match Hashtbl.find_opt t.table k with
+        | Some e ->
+            e.last_used <- Unix.gettimeofday ();
+            Some e
+        | None -> None)
+  with
+  | Some e -> Ok e
+  | None -> (
+      match Engine.parse_problem ~limit:t.max_total descriptor with
+      | Error e -> Error e
+      | Ok problem -> (
           (* plan outside the lock: compilation can take milliseconds and
              Info/stat readers must not stall behind it *)
           match build t ~seq problem descriptor with
@@ -223,7 +251,7 @@ let evict t descriptor =
           e.destroy ();
           Spiral_util.Counters.incr "service.plan_evicted"
       | None -> ())
-    [ key ~seq:false descriptor; key ~seq:true descriptor ]
+    [ (false, descriptor); (true, descriptor) ]
 
 let size t = with_lock t (fun () -> Hashtbl.length t.table)
 

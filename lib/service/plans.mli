@@ -19,7 +19,14 @@
     - [dft]/[dft2d]/[wht] and batched [dft]: in = out = 2 × total;
     - [rfft[n]f]: in = n reals, out = 2 × (n/2 + 1) (half-spectrum);
     - [rfft[n]i]: the reverse;
-    - [dct[n]f]/[dct[n]i]: in = out = n reals. *)
+    - [dct[n]f]/[dct[n]i]: in = out = n reals.
+
+    {b An entry is single-caller.}  Its plan owns scratch state (packing
+    buffers, conjugation buffers, the engine's ping-pong vectors) and
+    its {!output} buffer, so [exec], [exec_into] and {!output} of one
+    entry must never run concurrently: two callers corrupt each other's
+    results.  The server obeys this by construction — only its executor
+    domain executes — and a concurrent user wants a table of its own. *)
 
 type entry = {
   descriptor : string;
@@ -27,8 +34,14 @@ type entry = {
   out_floats : int;
   parallel : bool;
   exec : float array -> float array;
-      (** runs the transform; may raise (the server catches) *)
+      (** runs the transform into a fresh array; may raise (the server
+          catches).  [exec x] is [exec_into x] on a new zeroed array. *)
+  exec_into : float array -> float array -> unit;
+      (** [exec_into src dst] runs the transform of [src]
+          ([in_floats]) into the distinct [dst] ([out_floats]) without
+          allocating in steady state; may raise *)
   destroy : unit -> unit;
+  mutable out : float array;  (** {!output}'s storage; [[||]] until then *)
   mutable last_used : float;
 }
 
@@ -51,8 +64,15 @@ val io_floats :
 
 val lookup :
   ?seq:bool -> t -> string -> (entry, Spiral_fft.Engine.error) result
-(** Parse, admission-check, and plan (or fetch) the descriptor.
+(** Fetch the descriptor's plan, or parse, admission-check and plan it.
+    A cache hit skips the parse: entries exist only for descriptor
+    strings that already parsed under this table's [max_total].
     [~seq:true] returns the sequential variant.  Never raises. *)
+
+val output : entry -> float array
+(** The entry's own [out_floats] output buffer, allocated on first call
+    and reused after — the target of a server execution, valid until
+    the entry's next run.  Never allocated by {!lookup} or [exec]. *)
 
 val evict : t -> string -> unit
 (** Destroy and forget both variants of a descriptor (its plan may be

@@ -93,16 +93,49 @@ let max_frame = ref (128 * 1024 * 1024)
    length can announce, and 2 big-endian float64s per complex element. *)
 let request_frame_bound ~max_total = 11 + 0xffff + (16 * max_total)
 
+(* ---- growable frame buffers ---- *)
+
+(* Storage grown past this is dropped once its frame is done: a reused
+   buffer keeps the largest frame it has carried, so without a cap one
+   maximal request would pin its size for the connection's lifetime. *)
+let retain_max = 1 lsl 20
+
+module Buf = struct
+  type t = { mutable bytes : bytes }
+
+  let initial = 4096
+  let create () = { bytes = Bytes.create initial }
+  let bytes t = t.bytes
+  let capacity t = Bytes.length t.bytes
+
+  (* contents are not preserved: every user refills the whole prefix *)
+  let reserve t n =
+    if Bytes.length t.bytes < n then t.bytes <- Bytes.create n;
+    t.bytes
+
+  let trim t =
+    if Bytes.length t.bytes > retain_max then t.bytes <- Bytes.create initial
+end
+
 (* ---- body encoding ---- *)
 
+(* Plain [for] loops: the float never leaves a register, where an
+   [Array.iteri]/[Array.init] closure boxes every sample it passes (4-6
+   minor words per float). *)
 let put_floats b off xs =
-  Array.iteri
-    (fun i v -> Bytes.set_int64_be b (off + (8 * i)) (Int64.bits_of_float v))
-    xs
+  for i = 0 to Array.length xs - 1 do
+    Bytes.set_int64_be b
+      (off + (8 * i))
+      (Int64.bits_of_float (Array.unsafe_get xs i))
+  done
 
-let get_floats b off =
-  let n = (Bytes.length b - off) / 8 in
-  Array.init n (fun i -> Int64.float_of_bits (Bytes.get_int64_be b (off + (8 * i))))
+let get_floats b off n =
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i
+      (Int64.float_of_bits (Bytes.get_int64_be b (off + (8 * i))))
+  done;
+  a
 
 (* request body: u8 op | u32 id | u32 deadline_ms | u16 desc_len | desc
    | float64s *)
@@ -118,8 +151,9 @@ let encode_request r =
   put_floats b (11 + dlen) r.payload;
   b
 
-let decode_request b =
-  let len = Bytes.length b in
+let decode_request_prefix b len =
+  if len < 0 || len > Bytes.length b then
+    invalid_arg "Protocol.decode_request_prefix";
   if len < 11 then Error "request body shorter than the fixed header"
   else
     match op_of_code (Bytes.get_uint8 b 0) with
@@ -135,19 +169,34 @@ let decode_request b =
           Error "payload is not a whole number of float64s"
         else
           let descriptor = Bytes.sub_string b 11 dlen in
-          Stdlib.Ok
-            { op; id; deadline_ms; descriptor; payload = get_floats b (11 + dlen) }
+          let payload = get_floats b (11 + dlen) ((len - 11 - dlen) / 8) in
+          Stdlib.Ok { op; id; deadline_ms; descriptor; payload }
+
+let decode_request b = decode_request_prefix b (Bytes.length b)
 
 (* reply body: u8 status | u32 id | u32 msg_len | msg | float64s *)
-let encode_reply r =
+let reply_length r =
+  1 + 4 + 4 + String.length r.message + (8 * Array.length r.payload)
+
+let put_reply b off r =
   let mlen = String.length r.message in
-  let b = Bytes.create (1 + 4 + 4 + mlen + (8 * Array.length r.payload)) in
-  Bytes.set_uint8 b 0 (status_code r.status);
-  Bytes.set_int32_be b 1 (Int32.of_int r.id);
-  Bytes.set_int32_be b 5 (Int32.of_int mlen);
-  Bytes.blit_string r.message 0 b 9 mlen;
-  put_floats b (9 + mlen) r.payload;
+  Bytes.set_uint8 b off (status_code r.status);
+  Bytes.set_int32_be b (off + 1) (Int32.of_int r.id);
+  Bytes.set_int32_be b (off + 5) (Int32.of_int mlen);
+  Bytes.blit_string r.message 0 b (off + 9) mlen;
+  put_floats b (off + 9 + mlen) r.payload
+
+let encode_reply r =
+  let b = Bytes.create (reply_length r) in
+  put_reply b 0 r;
   b
+
+let frame_reply buf r =
+  let len = reply_length r in
+  let b = Buf.reserve buf (4 + len) in
+  Bytes.set_int32_be b 0 (Int32.of_int len);
+  put_reply b 4 r;
+  4 + len
 
 let decode_reply b =
   let len = Bytes.length b in
@@ -164,7 +213,8 @@ let decode_reply b =
           Error "payload is not a whole number of float64s"
         else
           let message = Bytes.sub_string b 9 mlen in
-          Stdlib.Ok { id; status; message; payload = get_floats b (9 + mlen) }
+          let payload = get_floats b (9 + mlen) ((len - 9 - mlen) / 8) in
+          Stdlib.Ok { id; status; message; payload }
 
 (* ---- framing over a file descriptor ---- *)
 
@@ -189,16 +239,23 @@ let rec write_all ?deadline fd b off len =
     write_all ?deadline fd b (off + n) (len - n)
   end
 
+let deadline_of timeout =
+  Option.map (fun t -> Unix.gettimeofday () +. t) timeout
+
 let write_frame ?timeout fd body =
   let len = Bytes.length body in
   (* one write for header+body keeps small frames in one segment *)
   let all = Bytes.create (4 + len) in
   Bytes.set_int32_be all 0 (Int32.of_int len);
   Bytes.blit body 0 all 4 len;
-  let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
-  write_all ?deadline fd all 0 (4 + len)
+  write_all ?deadline:(deadline_of timeout) fd all 0 (4 + len)
 
-type read_result = Frame of bytes | Eof | Oversized of int
+let write_reply ?timeout buf fd r =
+  let n = frame_reply buf r in
+  write_all ?deadline:(deadline_of timeout) fd (Buf.bytes buf) 0 n
+
+type 'a frame = Frame of 'a | Eof | Oversized of int
+type read_result = bytes frame
 
 (* [read_exact] returns false on a clean or mid-read EOF: a peer that
    died (or was killed -9) mid-frame must register as a disconnect, not
@@ -216,13 +273,23 @@ let read_exact fd b off len =
   done;
   !ok
 
-let read_frame ?limit fd =
+(* The header lands in the buffer's first 4 bytes and the body then
+   overwrites it from offset 0; the buffer grows only after the
+   announced length passed [limit]. *)
+let read_frame_into ?limit buf fd =
   let limit = match limit with Some l -> l | None -> !max_frame in
-  let hdr = Bytes.create 4 in
-  if not (read_exact fd hdr 0 4) then Eof
+  if not (read_exact fd (Buf.reserve buf 4) 0 4) then Eof
   else
-    let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
+    let len = Int32.to_int (Bytes.get_int32_be (Buf.bytes buf) 0) in
     if len < 0 || len > limit then Oversized len
-    else
-      let body = Bytes.create len in
-      if read_exact fd body 0 len then Frame body else Eof
+    else if read_exact fd (Buf.reserve buf len) 0 len then Frame len
+    else Eof
+
+let read_frame ?limit fd =
+  let buf = { Buf.bytes = Bytes.create 4 } in
+  match read_frame_into ?limit buf fd with
+  | Frame len ->
+      let b = Buf.bytes buf in
+      Frame (if Bytes.length b = len then b else Bytes.sub b 0 len)
+  | Eof -> Eof
+  | Oversized len -> Oversized len

@@ -59,10 +59,42 @@ val request_frame_bound : max_total:int -> int
     complex elements can legitimately receive: fixed header + maximal
     descriptor + [2 * max_total] float64s. *)
 
+val retain_max : int
+(** 1 MiB.  A reused {!Buf} whose storage grew past this is shrunk back
+    by {!Buf.trim}, so a long-lived connection does not pin the size of
+    the largest frame it ever carried. *)
+
+(** Growable, caller-owned frame storage, reused across frames so the
+    steady-state data path allocates nothing per frame.  A buffer is
+    single-owner: one thread fills it and reads it back. *)
+module Buf : sig
+  type t
+
+  val create : unit -> t
+  val bytes : t -> bytes
+  (** Current storage; valid until the next call that may grow it. *)
+
+  val capacity : t -> int
+  val trim : t -> unit
+  (** Drop storage that grew past {!retain_max}. *)
+end
+
 val encode_request : request -> bytes
 val decode_request : bytes -> (request, string) result
+
+val decode_request_prefix : bytes -> int -> (request, string) result
+(** [decode_request_prefix b len] decodes the body held in the first
+    [len] bytes of [b] (bytes past [len] are ignored) — the body
+    {!read_frame_into} left in a {!Buf}.  The payload is the one fresh
+    array; nothing else is allocated per float. *)
+
 val encode_reply : reply -> bytes
 val decode_reply : bytes -> (reply, string) result
+
+val frame_reply : Buf.t -> reply -> int
+(** Encode the whole frame (length header + body) into the first bytes
+    of the buffer, growing it if needed; returns the frame length.
+    Byte-identical to {!write_frame} of {!encode_reply}. *)
 
 val write_frame : ?timeout:float -> Unix.file_descr -> bytes -> unit
 (** Write one frame (header + body), restarting on [EINTR].  [timeout]
@@ -73,10 +105,17 @@ val write_frame : ?timeout:float -> Unix.file_descr -> bytes -> unit
     @raise Unix.Unix_error when the peer is gone ([EPIPE], …) or has
     stopped reading ([ETIMEDOUT]). *)
 
-type read_result =
-  | Frame of bytes
+val write_reply : ?timeout:float -> Buf.t -> Unix.file_descr -> reply -> unit
+(** {!frame_reply} into the caller's buffer, then one write under the
+    same [timeout] contract as {!write_frame} — no per-reply frame
+    allocation and no body-to-frame copy. *)
+
+type 'a frame =
+  | Frame of 'a
   | Eof  (** clean close, or the peer died mid-frame *)
   | Oversized of int  (** announced length; nothing was consumed after it *)
+
+type read_result = bytes frame
 
 val read_frame : ?limit:int -> Unix.file_descr -> read_result
 (** Read one frame, restarting on [EINTR].  A peer that disappears
@@ -84,3 +123,9 @@ val read_frame : ?limit:int -> Unix.file_descr -> read_result
     above [limit] (default [!max_frame]) is [Oversized] and nothing is
     allocated or consumed past the header.
     @raise Unix.Unix_error on hard socket errors. *)
+
+val read_frame_into : ?limit:int -> Buf.t -> Unix.file_descr -> int frame
+(** As {!read_frame}, into the caller's buffer: [Frame len] leaves the
+    body in the first [len] bytes of [Buf.bytes buf] (decode it with
+    {!decode_request_prefix}).  The limit is checked before the buffer
+    grows. *)

@@ -7,7 +7,11 @@ open Spiral_util
      limit is derived from the configured [max_total] (not a generous
      global), so a hostile length prefix cannot pin more memory than a
      legitimate maximal request; oversized or malformed frames get an
-     error reply without desynchronizing or crashing anything;
+     error reply without desynchronizing or crashing anything.  Each
+     reader reuses one frame buffer for its connection (requests in,
+     its replies out) and the executor one for its replies; storage grown past [Protocol.retain_max] is
+     dropped after its frame, so retained frame memory stays bounded
+     by (max_conns + 1) x 1 MiB;
    - admission: a bounded, client-fair queue ({!Admission}); excess load
      is shed immediately with [Overloaded], one pipelining tenant cannot
      starve the others; concurrent connections are capped at accept, so
@@ -114,6 +118,8 @@ type t = {
       (* reader thread per live connection, keyed by cid; guarded by
          conns_lock.  Each reader registers itself on entry and prunes
          its own entry on exit, so connection churn cannot grow it. *)
+  reply_buf : Protocol.Buf.t;
+      (* executor-domain private: every executor reply is framed here *)
   (* circuit breaker state — executor-domain private *)
   mutable sick_streak : int;
   mutable breaker_level : int;
@@ -123,21 +129,26 @@ type t = {
 (* ---- replies ---- *)
 
 (* Reply writes are doubly bounded: SO_SNDTIMEO on the fd caps each
-   blocking syscall, and [write_frame ~timeout] caps the whole frame —
+   blocking syscall, and [write_reply ~timeout] caps the whole frame —
    so neither a full socket buffer (a ~64 MiB reply against a ~200 KiB
    buffer) nor a byte-at-a-time trickle reader can hold the executor.
    A write that fails takes the same exit as a dead peer: the connection
    is marked dead (queued jobs for it are skipped), and the fd is shut
    down so the blocked reader wakes, reaps the connection, and purges
-   its admission queue. *)
-let send_reply conn (reply : Protocol.reply) =
+   its admission queue.
+
+   Every reply is framed straight into a caller-owned buffer and
+   written from it (no per-reply frame allocation, no body-to-frame
+   copy): the executor frames into its own, a reader into the buffer
+   its request was read into — the request is fully decoded into fresh
+   values by then, and only that reader thread touches the buffer. *)
+let send_reply buf conn (reply : Protocol.reply) =
   if Atomic.get conn.alive then begin
-    let body = Protocol.encode_reply reply in
     Mutex.lock conn.wlock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock conn.wlock)
       (fun () ->
-        try Protocol.write_frame ~timeout:conn.send_timeout conn.fd body
+        try Protocol.write_reply ~timeout:conn.send_timeout buf conn.fd reply
         with Unix.Unix_error _ | Sys_error _ as e ->
           (* ETIMEDOUT: live peer that stopped reading; anything else
              (EPIPE after a kill -9, …): peer is gone.  Either way the
@@ -156,11 +167,11 @@ let error_reply ?(payload = [||]) id status message : Protocol.reply =
 
 (* every error reply is latency-accounted so the soak can assert the
    bound: errors must be fast, not the result of a stuck wait *)
-let send_error conn ~since_ns id status message =
+let send_error buf conn ~since_ns id status message =
   Counters.incr ("service.reply." ^ Protocol.status_to_string status);
   Counters.observe "service.error_reply_us"
     (float_of_int (Trace.now_ns () - since_ns) /. 1e3);
-  send_reply conn (error_reply id status message)
+  send_reply buf conn (error_reply id status message)
 
 let status_of_engine_error : Spiral_fft.Engine.error -> Protocol.status =
   function
@@ -220,7 +231,10 @@ let breaker_note_healthy t =
 
 let exec_one t job =
   let { conn; req; enq_ns; tenant } = job in
-  let reply_error status msg = send_error conn ~since_ns:enq_ns req.id status msg in
+  let buf = t.reply_buf in
+  let reply_error status msg =
+    send_error buf conn ~since_ns:enq_ns req.id status msg
+  in
   if deadline_expired job then reply_error Protocol.Deadline "expired in queue"
   else begin
     (* chaos hook: a "service.delay" injection stalls this request (the
@@ -250,8 +264,11 @@ let exec_one t job =
     | Ok _ when not (all_finite req.payload) ->
         reply_error Protocol.Bad_payload "payload contains non-finite samples"
     | Ok entry -> (
-        match entry.exec req.payload with
-        | out when not (all_finite out) ->
+        (* in place: the entry owns [out], and the reply is framed from
+           it before the executor takes its next job *)
+        let out = Plans.output entry in
+        match entry.exec_into req.payload out with
+        | () when not (all_finite out) ->
             (* finite in, non-finite out: the cached plan (or its pool)
                is corrupt.  Isolate: error reply to this tenant, heal
                sick pools, evict the plan so the next request replans —
@@ -265,7 +282,7 @@ let exec_one t job =
                  "non-finite output from a finite payload (plan evicted, %d \
                   pool(s) healed)"
                  healed)
-        | out ->
+        | () ->
             if sickness_signal () > sick0 then breaker_note_sick t
             else if not seq then breaker_note_healthy t;
             if deadline_expired job then
@@ -274,7 +291,7 @@ let exec_one t job =
               Counters.incr "service.reply.ok";
               Counters.observe "service.reply_us"
                 (float_of_int (Trace.now_ns () - enq_ns) /. 1e3);
-              send_reply conn
+              send_reply buf conn
                 { id = req.id; status = Protocol.Ok; message = ""; payload = out }
             end
         | exception e ->
@@ -319,8 +336,9 @@ let executor_loop t =
           (try exec_one t job
            with e ->
              Counters.incr "service.executor_rescue";
-             send_error job.conn ~since_ns:job.enq_ns job.req.id
-               Protocol.Internal (Printexc.to_string e));
+             send_error t.reply_buf job.conn ~since_ns:job.enq_ns
+               job.req.id Protocol.Internal (Printexc.to_string e));
+          Protocol.Buf.trim t.reply_buf;
           Trace.end_span 0 Trace.cat_request job.req.id
         end
         else Counters.incr "service.orphaned";
@@ -330,19 +348,19 @@ let executor_loop t =
 
 (* ---- per-connection reader ---- *)
 
-let handle_request t conn (req : Protocol.request) =
+let handle_request t conn buf (req : Protocol.request) =
   let since_ns = Trace.now_ns () in
   match req.op with
   | Protocol.Ping ->
-      send_reply conn
+      send_reply buf conn
         { id = req.id; status = Protocol.Ok; message = "pong"; payload = [||] }
   | Protocol.Hello ->
       (* tenant self-identification: the name becomes the fault scope *)
       if req.descriptor <> "" then conn.tenant <- req.descriptor;
-      send_reply conn
+      send_reply buf conn
         { id = req.id; status = Protocol.Ok; message = conn.tenant; payload = [||] }
   | Protocol.Stats ->
-      send_reply conn
+      send_reply buf conn
         {
           id = req.id;
           status = Protocol.Ok;
@@ -352,15 +370,15 @@ let handle_request t conn (req : Protocol.request) =
   | Protocol.Info -> (
       match Spiral_fft.Engine.parse_problem ~limit:t.cfg.max_total req.descriptor with
       | Error e ->
-          send_error conn ~since_ns req.id (status_of_engine_error e)
+          send_error buf conn ~since_ns req.id (status_of_engine_error e)
             (Spiral_fft.Engine.error_to_string e)
       | Ok problem -> (
           match Plans.io_floats problem with
           | Error e ->
-              send_error conn ~since_ns req.id (status_of_engine_error e)
+              send_error buf conn ~since_ns req.id (status_of_engine_error e)
                 (Spiral_fft.Engine.error_to_string e)
           | Ok (i, o) ->
-              send_reply conn
+              send_reply buf conn
                 {
                   id = req.id;
                   status = Protocol.Ok;
@@ -369,7 +387,7 @@ let handle_request t conn (req : Protocol.request) =
                 }))
   | Protocol.Exec -> (
       if Atomic.get t.stopping then
-        send_error conn ~since_ns req.id Protocol.Shutting_down
+        send_error buf conn ~since_ns req.id Protocol.Shutting_down
           "server is draining"
       else
         match
@@ -383,18 +401,18 @@ let handle_request t conn (req : Protocol.request) =
         | Admission.Accepted -> Counters.incr "service.accepted"
         | Admission.Queue_full ->
             Counters.incr "service.shed";
-            send_error conn ~since_ns req.id Protocol.Overloaded
+            send_error buf conn ~since_ns req.id Protocol.Overloaded
               "admission queue full"
         | Admission.Client_full ->
             Counters.incr "service.shed";
-            send_error conn ~since_ns req.id Protocol.Overloaded
+            send_error buf conn ~since_ns req.id Protocol.Overloaded
               "per-client pending limit reached"
         | Admission.Closed ->
-            send_error conn ~since_ns req.id Protocol.Shutting_down
+            send_error buf conn ~since_ns req.id Protocol.Shutting_down
               "server is draining"
         | exception Fault.Injected site ->
             Counters.incr "service.internal";
-            send_error conn ~since_ns req.id Protocol.Internal
+            send_error buf conn ~since_ns req.id Protocol.Internal
               ("injected fault at " ^ site))
 
 let reader_loop t conn =
@@ -418,24 +436,31 @@ let reader_loop t conn =
     Mutex.unlock t.conns_lock;
     try Unix.close conn.fd with Unix.Unix_error _ -> ()
   in
+  (* this reader's frame storage: every request body lands here and
+     every reply it sends is framed here; the decoded payload is the one
+     fresh array a request costs *)
+  let buf = Protocol.Buf.create () in
   (try
      while Atomic.get conn.alive do
-       match Protocol.read_frame ~limit:t.frame_limit conn.fd with
+       match Protocol.read_frame_into ~limit:t.frame_limit buf conn.fd with
        | Protocol.Eof -> Atomic.set conn.alive false
        | Protocol.Oversized len ->
            Counters.incr "service.oversized";
-           send_reply conn
+           send_reply buf conn
              (error_reply 0 Protocol.Bad_request
                 (Printf.sprintf "frame of %d bytes exceeds the limit" len));
            (* the stream position is unknown past a rejected length:
               drop the connection rather than serve garbage *)
            Atomic.set conn.alive false
-       | Protocol.Frame body -> (
-           match Protocol.decode_request body with
+       | Protocol.Frame len ->
+           (match
+              Protocol.decode_request_prefix (Protocol.Buf.bytes buf) len
+            with
            | Error msg ->
                Counters.incr "service.bad_frame";
-               send_reply conn (error_reply 0 Protocol.Bad_request msg)
-           | Ok req -> handle_request t conn req)
+               send_reply buf conn (error_reply 0 Protocol.Bad_request msg)
+           | Ok req -> handle_request t conn buf req);
+           Protocol.Buf.trim buf
      done
    with
   | Unix.Unix_error _ | Sys_error _ -> ()
@@ -476,14 +501,14 @@ let accept_loop t =
                  the reject is a best-effort structured reply *)
               Counters.incr "service.conn_rejected";
               (try
-                 Protocol.write_frame ~timeout:t.cfg.send_timeout fd
-                   (Protocol.encode_reply
-                      {
-                        id = 0;
-                        status = Protocol.Overloaded;
-                        message = "connection limit reached";
-                        payload = [||];
-                      })
+                 Protocol.write_reply ~timeout:t.cfg.send_timeout
+                   (Protocol.Buf.create ()) fd
+                   {
+                     id = 0;
+                     status = Protocol.Overloaded;
+                     message = "connection limit reached";
+                     payload = [||];
+                   }
                with Unix.Unix_error _ | Sys_error _ -> ());
               try Unix.close fd with Unix.Unix_error _ -> ()
             end
@@ -548,6 +573,7 @@ let start cfg =
       accept_thread = None;
       executor = None;
       readers = Hashtbl.create 16;
+      reply_buf = Protocol.Buf.create ();
       sick_streak = 0;
       breaker_level = 0;
       breaker_until = 0.0;

@@ -66,13 +66,18 @@ let matches reference out =
   rms d <= 1e-6 *. Float.max 1.0 (rms reference)
 
 (* one honest or chaos client: checked traffic over a mixed descriptor
-   diet, every Ok reply verified against a sequential reference *)
-let traffic_client ~socket_path ~tenant ~seed ~requests ~reference ~deadline_ms
-    stats =
+   diet, every Ok reply verified against a sequential reference.  The
+   reference table is this client's own: plan entries are single-caller
+   (they own scratch buffers), so client domains sharing one table would
+   corrupt the very answers they check against. *)
+let traffic_client ~socket_path ~tenant ~seed ~requests ~deadline_ms stats =
   let rng = Random.State.make [| seed |] in
   let c = Client.connect socket_path in
+  let reference = Plans.create ~threads:1 () in
   Fun.protect
-    ~finally:(fun () -> Client.close c)
+    ~finally:(fun () ->
+      Client.close c;
+      Plans.destroy_all reference)
     (fun () ->
       ignore (Client.hello c tenant);
       for i = 0 to requests - 1 do
@@ -137,7 +142,8 @@ let run ?(seed = 42) ?(clients = 3) ?(requests = 200) ?(socket_path : string opt
   let cfg = Server.default_config ~socket_path () in
   let cfg = { cfg with max_pending = 64; max_per_client = 16 } in
   let server = Server.start cfg in
-  (* sequential reference plans, shared read-only by client domains *)
+  (* sequential reference plans for the survival check, which runs after
+     every client domain has joined *)
   let reference = Plans.create ~threads:1 () in
   let rebuilds0 = Counters.get "pool.rebuild" in
   let seqfb0 = Counters.get "par_exec.sequential_fallback" in
@@ -166,13 +172,13 @@ let run ?(seed = 42) ?(clients = 3) ?(requests = 200) ?(socket_path : string opt
                 traffic_client ~socket_path
                   ~tenant:(Printf.sprintf "honest%d" i)
                   ~seed:(seed + (7 * i))
-                  ~requests ~reference ~deadline_ms:10_000 stats))
+                  ~requests ~deadline_ms:10_000 stats))
           honest_stats
       in
       let chaos =
         Domain.spawn (fun () ->
             traffic_client ~socket_path ~tenant:"chaos" ~seed:(seed + 100)
-              ~requests ~reference ~deadline_ms:40 chaos_stats)
+              ~requests ~deadline_ms:40 chaos_stats)
       in
       let rogue =
         Domain.spawn (fun () ->

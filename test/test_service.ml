@@ -85,6 +85,275 @@ let test_protocol_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty reply decoded"
 
+(* ---- codec equivalence and fuzzing ---- *)
+
+(* The closure-based codec the unboxed loops replaced, kept verbatim as
+   the wire-format oracle: every frame must stay byte-identical to it. *)
+module Ref_codec = struct
+  let put_floats b off xs =
+    Array.iteri
+      (fun i v -> Bytes.set_int64_be b (off + (8 * i)) (Int64.bits_of_float v))
+      xs
+
+  let op_code : Protocol.op -> int = function
+    | Exec -> 1
+    | Ping -> 2
+    | Stats -> 3
+    | Hello -> 4
+    | Info -> 5
+
+  let encode_request (r : Protocol.request) =
+    let dlen = String.length r.descriptor in
+    let b = Bytes.create (1 + 4 + 4 + 2 + dlen + (8 * Array.length r.payload)) in
+    Bytes.set_uint8 b 0 (op_code r.op);
+    Bytes.set_int32_be b 1 (Int32.of_int r.id);
+    Bytes.set_int32_be b 5 (Int32.of_int r.deadline_ms);
+    Bytes.set_uint16_be b 9 dlen;
+    Bytes.blit_string r.descriptor 0 b 11 dlen;
+    put_floats b (11 + dlen) r.payload;
+    b
+
+  let encode_reply (r : Protocol.reply) =
+    let mlen = String.length r.message in
+    let b = Bytes.create (1 + 4 + 4 + mlen + (8 * Array.length r.payload)) in
+    Bytes.set_uint8 b 0 (Protocol.status_code r.status);
+    Bytes.set_int32_be b 1 (Int32.of_int r.id);
+    Bytes.set_int32_be b 5 (Int32.of_int mlen);
+    Bytes.blit_string r.message 0 b 9 mlen;
+    put_floats b (9 + mlen) r.payload;
+    b
+end
+
+(* samples whose bits a lossy path would change: signed zero, the
+   smallest subnormals, infinities, quiet/signalling/negative NaNs *)
+let special_samples =
+  Array.append
+    [|
+      -0.0;
+      0.0;
+      Int64.float_of_bits 1L;
+      Int64.float_of_bits 0x000fffffffffffffL;
+      Float.infinity;
+      Float.neg_infinity;
+    |]
+    (Array.map Int64.float_of_bits
+       [| 0x7ff8000000000000L; 0x7ff0000000000001L; 0xfff8000000000000L;
+          0x7fffffffffffffffL; 0xfff4000000000abcL |])
+
+let codec_payload n =
+  let rng = Random.State.make [| n |] in
+  let k = Array.length special_samples in
+  Array.init n (fun i ->
+      if i mod 3 = 0 then special_samples.(i / 3 mod k)
+      else Random.State.float rng 2e3 -. 1e3)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let test_codec_reference () =
+  let buf = Protocol.Buf.create () in
+  (* descending sizes: each framed reply reuses storage a longer frame
+     left behind *)
+  List.iter
+    (fun n ->
+      let payload = codec_payload n in
+      let req : Protocol.request =
+        {
+          op = Protocol.Exec;
+          id = 0xFFFFFFFF - n;
+          deadline_ms = n;
+          descriptor = "dft[16]f";
+          payload;
+        }
+      in
+      let body = Protocol.encode_request req in
+      Alcotest.(check bool)
+        (Printf.sprintf "request bytes = reference (n=%d)" n)
+        true
+        (Bytes.equal body (Ref_codec.encode_request req));
+      (match Protocol.decode_request body with
+      | Ok got ->
+          Alcotest.(check int) "id" req.id got.id;
+          Alcotest.(check int) "deadline" req.deadline_ms got.deadline_ms;
+          Alcotest.(check string) "descriptor" req.descriptor got.descriptor;
+          Alcotest.(check bool)
+            (Printf.sprintf "request payload bit-exact (n=%d)" n)
+            true
+            (same_bits payload got.payload)
+      | Error e -> Alcotest.failf "decode_request n=%d: %s" n e);
+      (* a body decoded from the prefix of a larger buffer ignores the
+         bytes past it *)
+      let slack = Bytes.cat body (Bytes.make 24 '\xff') in
+      (match Protocol.decode_request_prefix slack (Bytes.length body) with
+      | Ok got ->
+          Alcotest.(check bool)
+            "prefix decode bit-exact" true
+            (same_bits payload got.payload)
+      | Error e -> Alcotest.failf "decode_request_prefix n=%d: %s" n e);
+      let rep : Protocol.reply =
+        { id = n; status = Protocol.Internal; message = "detail"; payload }
+      in
+      let rbody = Protocol.encode_reply rep in
+      Alcotest.(check bool)
+        (Printf.sprintf "reply bytes = reference (n=%d)" n)
+        true
+        (Bytes.equal rbody (Ref_codec.encode_reply rep));
+      let len = Protocol.frame_reply buf rep in
+      let framed = Bytes.sub (Protocol.Buf.bytes buf) 0 len in
+      let expect = Bytes.create 4 in
+      Bytes.set_int32_be expect 0 (Int32.of_int (Bytes.length rbody));
+      Alcotest.(check bool)
+        (Printf.sprintf "framed reply = header + reference body (n=%d)" n)
+        true
+        (Bytes.equal framed (Bytes.cat expect (Ref_codec.encode_reply rep)));
+      match Protocol.decode_reply rbody with
+      | Ok got ->
+          Alcotest.(check string) "message" rep.message got.message;
+          Alcotest.(check bool)
+            (Printf.sprintf "reply payload bit-exact (n=%d)" n)
+            true
+            (same_bits payload got.payload)
+      | Error e -> Alcotest.failf "decode_reply n=%d: %s" n e)
+    [ 32768; 2048; 1; 0 ]
+
+(* A decoder must answer every input with a value, never an exception.
+   A cut through the fixed header, the descriptor/message or a float is
+   an [Error]; a cut on a float boundary is itself a well-formed body
+   (the frame, not the body, carries the length), so it decodes to the
+   shorter payload.  Whatever decodes must re-encode to the same bytes:
+   the decoders accept only canonical bodies. *)
+let test_codec_fuzz () =
+  let req : Protocol.request =
+    { op = Protocol.Exec; id = 77; deadline_ms = 5; descriptor = "dft[4]f";
+      payload = codec_payload 8 }
+  in
+  let rep : Protocol.reply =
+    { id = 77; status = Protocol.Ok; message = "m"; payload = codec_payload 8 }
+  in
+  let check_trunc name decode encode body fixed =
+    for k = 0 to Bytes.length body - 1 do
+      match decode (Bytes.sub body 0 k) with
+      | Error _ -> ()
+      | Ok v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s cut at %d: only whole-float cuts decode" name k)
+            true
+            (k >= fixed && (k - fixed) mod 8 = 0);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s cut at %d is a payload prefix" name k)
+            true
+            (Bytes.equal (encode v) (Bytes.sub body 0 k))
+      | exception e ->
+          Alcotest.failf "%s cut at %d raised %s" name k (Printexc.to_string e)
+    done
+  in
+  check_trunc "request" Protocol.decode_request Protocol.encode_request
+    (Protocol.encode_request req) (11 + String.length req.descriptor);
+  check_trunc "reply" Protocol.decode_reply Protocol.encode_reply
+    (Protocol.encode_reply rep) (9 + String.length rep.message);
+  let rng = Random.State.make [| 2024 |] in
+  for i = 1 to 10_000 do
+    let len = Random.State.int rng 64 in
+    let b = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+    (* steer half the bodies past the opcode/status check and give them
+       short descriptor/message lengths, so the deeper paths are hit *)
+    if len >= 11 && i mod 2 = 0 then begin
+      Bytes.set_uint8 b 0 (Random.State.int rng 6);
+      Bytes.set_uint16_be b 9 (Random.State.int rng 16);
+      Bytes.set_int32_be b 5 (Int32.of_int (Random.State.int rng 16))
+    end;
+    let roundtrip name decode encode =
+      match decode b with
+      | Error _ -> ()
+      | Ok v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "random %s body %d re-encodes identically" name i)
+            true
+            (Bytes.equal (encode v) b)
+      | exception e ->
+          Alcotest.failf "random %s body %d raised %s" name i
+            (Printexc.to_string e)
+    in
+    roundtrip "request" Protocol.decode_request Protocol.encode_request;
+    roundtrip "reply" Protocol.decode_reply Protocol.encode_reply;
+    match Protocol.decode_request_prefix b (Random.State.int rng (len + 1)) with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "random prefix %d raised %s" i (Printexc.to_string e)
+  done
+
+(* Gc.minor_words over steady-state calls, as in test_optimize *)
+let alloc_words iters call =
+  call ();
+  call ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    call ()
+  done;
+  Gc.minor_words () -. w0
+
+let test_codec_alloc () =
+  let payload = codec_payload 32768 in
+  let body =
+    Protocol.encode_request
+      {
+        op = Protocol.Exec;
+        id = 1;
+        deadline_ms = 0;
+        descriptor = "dft[16384]f";
+        payload;
+      }
+  in
+  (* fill a reader-style buffer through the framing layer; the writer
+     runs on its own thread because the frame outgrows a socket buffer *)
+  let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer = Thread.create (fun () -> Protocol.write_frame wr body) () in
+  let buf = Protocol.Buf.create () in
+  let len =
+    match Protocol.read_frame_into buf rd with
+    | Protocol.Frame len -> len
+    | Protocol.Eof | Protocol.Oversized _ -> Alcotest.fail "frame not read"
+  in
+  Thread.join writer;
+  Unix.close rd;
+  Unix.close wr;
+  Alcotest.(check int) "body length" (Bytes.length body) len;
+  let decode () =
+    match Protocol.decode_request_prefix (Protocol.Buf.bytes buf) len with
+    | Ok r -> assert (Array.length r.payload = 32768)
+    | Error e -> failwith e
+  in
+  let w = alloc_words 20 decode /. 20.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "32768-float request decode: %.1f minor words < 64" w)
+    true (w < 64.0);
+  let rep : Protocol.reply =
+    { id = 1; status = Protocol.Ok; message = ""; payload }
+  in
+  let out = Protocol.Buf.create () in
+  let w =
+    alloc_words 20 (fun () -> ignore (Protocol.frame_reply out rep)) /. 20.0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "framed 32768-float reply encode: %.1f minor words < 8" w)
+    true (w < 8.0);
+  (* a frame past the retain cap is not kept after [trim] *)
+  let big : Protocol.reply =
+    { rep with payload = Array.make (Protocol.retain_max / 8) 0.5 }
+  in
+  ignore (Protocol.frame_reply out big);
+  Alcotest.(check bool) "grown past the cap" true
+    (Protocol.Buf.capacity out > Protocol.retain_max);
+  Protocol.Buf.trim out;
+  Alcotest.(check bool) "trimmed back under the cap" true
+    (Protocol.Buf.capacity out <= Protocol.retain_max);
+  Protocol.Buf.trim buf;
+  Alcotest.(check bool) "a buffer under the cap is kept" true
+    (Protocol.Buf.capacity buf >= len)
+
 (* ---- admission ---- *)
 
 let test_admission_fairness () =
@@ -460,6 +729,141 @@ let test_e2e_graceful_stop () =
       Client.close c;
       Alcotest.fail "connect succeeded after stop"
 
+(* one connection, frames of shrinking size: the reader's buffer and the
+   executor's reply buffer both carry a longer frame's bytes when the
+   shorter one arrives, and neither may leak into the answer *)
+let test_e2e_buffer_reuse () =
+  with_server (fun path _server ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let roundtrip body =
+            Protocol.write_frame fd body;
+            match Protocol.read_frame fd with
+            | Protocol.Frame b -> (
+                match Protocol.decode_reply b with
+                | Ok r -> r
+                | Error e -> Alcotest.failf "undecodable reply: %s" e)
+            | Protocol.Eof | Protocol.Oversized _ -> Alcotest.fail "no reply"
+          in
+          let exec id descriptor =
+            match Plans.lookup (Lazy.force reference) descriptor with
+            | Error e ->
+                Alcotest.failf "reference: %s"
+                  (Spiral_fft.Engine.error_to_string e)
+            | Ok entry ->
+                let rng = Random.State.make [| id |] in
+                let x =
+                  Array.init entry.in_floats (fun _ ->
+                      Random.State.float rng 2.0 -. 1.0)
+                in
+                let r =
+                  roundtrip
+                    (Protocol.encode_request
+                       {
+                         op = Protocol.Exec;
+                         id;
+                         deadline_ms = 0;
+                         descriptor;
+                         payload = x;
+                       })
+                in
+                check_status (descriptor ^ " status") "ok" (status_name r);
+                Alcotest.(check int) (descriptor ^ " id") id r.id;
+                Alcotest.(check int) (descriptor ^ " length") entry.out_floats
+                  (Array.length r.payload);
+                let expected = entry.exec (Array.copy x) in
+                let err = ref 0.0 in
+                Array.iteri
+                  (fun i v ->
+                    err := Float.max !err (Float.abs (v -. r.payload.(i))))
+                  expected;
+                Alcotest.(check bool)
+                  (descriptor ^ " matches reference")
+                  true (!err < 1e-8)
+          in
+          exec 1 "dft[16384]f";
+          exec 2 "dft[64]f";
+          let r = roundtrip (Bytes.of_string "\001\000\000") in
+          check_status "short body after long frames" "bad-request"
+            (status_name r);
+          exec 3 "dft[64]f";
+          (* the limit is still enforced on the grown, reused buffer *)
+          let header = Bytes.create 4 in
+          Bytes.set_int32_be header 0 0x7FFFFFFFl;
+          ignore (Unix.write fd header 0 4);
+          match Protocol.read_frame fd with
+          | Protocol.Frame b -> (
+              match Protocol.decode_reply b with
+              | Ok r ->
+                  check_status "oversized on a reused buffer" "bad-request"
+                    (status_name r)
+              | Error e -> Alcotest.failf "undecodable reply: %s" e)
+          | Protocol.Eof -> Alcotest.fail "dropped without a reply"
+          | Protocol.Oversized _ -> Alcotest.fail "reply oversized"))
+
+(* the front-end [*_into] the executor runs must not allocate per call;
+   [exec] keeps allocating exactly its fresh result *)
+let test_plans_in_place () =
+  let plans = Plans.create ~threads:1 () in
+  Fun.protect
+    ~finally:(fun () -> Plans.destroy_all plans)
+    (fun () ->
+      List.iter
+        (fun descriptor ->
+          match Plans.lookup plans descriptor with
+          | Error e ->
+              Alcotest.failf "%s: %s" descriptor
+                (Spiral_fft.Engine.error_to_string e)
+          | Ok entry ->
+              let rng = Random.State.make [| entry.in_floats |] in
+              let x =
+                Array.init entry.in_floats (fun _ ->
+                    Random.State.float rng 2.0 -. 1.0)
+              in
+              let out = Plans.output entry in
+              Alcotest.(check bool)
+                (descriptor ^ ": output is reused")
+                true
+                (out == Plans.output entry);
+              entry.exec_into x out;
+              Alcotest.(check bool) (descriptor ^ ": exec_into = exec") true
+                (same_bits out (entry.exec x));
+              let w =
+                alloc_words 20 (fun () -> entry.exec_into x out) /. 20.0
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s exec_into: %.1f minor words < 8"
+                   descriptor w)
+                true (w < 8.0))
+        [
+          "dft[1024]f"; "rfft[4096]f"; "dft2d[64x64]f"; "wht[64]f";
+          "dft[16]fx4"; "dct[32]f"; "rfft[64]i";
+        ];
+      (* a cache hit skips the descriptor parse, which alone allocates
+         some 50 words for this descriptor *)
+      let w =
+        alloc_words 20 (fun () -> ignore (Plans.lookup plans "dft2d[64x64]f"))
+        /. 20.0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "lookup hit: %.1f minor words < 40" w)
+        true (w < 40.0);
+      (* the seq flag is part of the key, not a descriptor prefix: a
+         cached sequential entry must not make a bad descriptor servable *)
+      (match Plans.lookup ~seq:true plans "dft[16]f" with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "seq dft[16]f: %s" (Spiral_fft.Engine.error_to_string e));
+      List.iter
+        (fun seq ->
+          match Plans.lookup ~seq plans "seq!dft[16]f" with
+          | Ok _ -> Alcotest.fail "seq!dft[16]f was served"
+          | Error _ -> ())
+        [ false; true ])
+
 (* ---- chaos soak (the tentpole invariants) ---- *)
 
 let test_soak () =
@@ -502,6 +906,12 @@ let suite =
       test_protocol_roundtrip;
     Alcotest.test_case "protocol: garbage is rejected" `Quick
       test_protocol_garbage;
+    Alcotest.test_case "protocol: codec byte-identical to reference" `Quick
+      test_codec_reference;
+    Alcotest.test_case "protocol: truncated and random bodies" `Quick
+      test_codec_fuzz;
+    Alcotest.test_case "protocol: reused-buffer codec allocation" `Quick
+      test_codec_alloc;
     Alcotest.test_case "admission: round-robin fairness" `Quick
       test_admission_fairness;
     Alcotest.test_case "admission: global and per-client bounds" `Quick
@@ -530,5 +940,8 @@ let suite =
       test_e2e_reader_prune;
     Alcotest.test_case "e2e: graceful stop" `Quick test_e2e_graceful_stop;
     Alcotest.test_case "e2e: warm plans at boot" `Quick test_warm_plans;
+    Alcotest.test_case "e2e: frame buffers reused across sizes" `Quick
+      test_e2e_buffer_reuse;
+    Alcotest.test_case "plans: in-place execution" `Quick test_plans_in_place;
     Alcotest.test_case "soak: chaos invariants" `Slow test_soak;
   ]
