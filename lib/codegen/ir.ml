@@ -41,7 +41,7 @@ let compose_scale outer inner =
 
 (* Merge a run of data factors (in execution order) into a local
    permutation [loc] and a local diagonal [scale]. *)
-let merge_decors decors =
+let merge_decors ~roots decors =
   (* Invariant: after processing a prefix (in execution order), reading
      logical index [k] fetches physical [loc k] scaled by [scale k]. *)
   List.fold_left
@@ -51,7 +51,7 @@ let merge_decors decors =
           ( (fun k -> loc (sigma k)),
             Option.map (fun s k -> s (sigma k)) scale )
       | None -> (
-          match Shape.diag_entry f with
+          match Shape.diag_entry ~roots f with
           | Some d ->
               let scale' =
                 match scale with
@@ -89,7 +89,7 @@ let invert_local dim sigma =
   done;
   fun s -> inv.(s)
 
-let rec compile ~explicit ~emit embed (f : Formula.t) =
+let rec compile ~explicit ~roots ~emit embed (f : Formula.t) =
   match f with
   | DFT r ->
       if r > Codelet.max_radix then
@@ -104,10 +104,11 @@ let rec compile ~explicit ~emit embed (f : Formula.t) =
       emit_leaf ~emit embed (Codelet.wht r)
   | I _ -> emit_data ~emit embed (fun k -> k) None
   | Perm p -> emit_data ~emit embed (Perm.gather p) None
-  | Diag d -> emit_data ~emit embed (fun k -> k) (Some (Diag.entry d))
+  | Diag d ->
+      emit_data ~emit embed (fun k -> k) (Some (Diag.memo_entry roots d))
   | Tensor (I m, a) ->
       let da = Formula.dim a in
-      compile ~explicit ~emit
+      compile ~explicit ~roots ~emit
         {
           count = embed.count * m;
           dim = da;
@@ -126,7 +127,7 @@ let rec compile ~explicit ~emit embed (f : Formula.t) =
         }
         a
   | Tensor (a, I q) ->
-      compile ~explicit ~emit
+      compile ~explicit ~roots ~emit
         {
           count = embed.count * q;
           dim = Formula.dim a;
@@ -145,11 +146,11 @@ let rec compile ~explicit ~emit embed (f : Formula.t) =
   | Tensor (a, b) ->
       (* A ⊗ B = (A ⊗ I)(I ⊗ B): a two-pass chain. *)
       let na = Formula.dim a and nb = Formula.dim b in
-      compile_chain ~explicit ~emit embed
+      compile_chain ~explicit ~roots ~emit embed
         [ Formula.Tensor (a, I nb); Formula.Tensor (I na, b) ]
   | ParTensor (p, a) ->
       let da = Formula.dim a in
-      compile ~explicit ~emit
+      compile ~explicit ~roots ~emit
         {
           count = embed.count * p;
           dim = da;
@@ -170,10 +171,10 @@ let rec compile ~explicit ~emit embed (f : Formula.t) =
       let embed =
         { embed with mu = (match embed.mu with None -> Some mu | s -> s) }
       in
-      compile ~explicit ~emit embed (Tensor (a, I mu))
-  | Compose fs -> compile_chain ~explicit ~emit embed fs
+      compile ~explicit ~roots ~emit embed (Tensor (a, I mu))
+  | Compose fs -> compile_chain ~explicit ~roots ~emit embed fs
   | (DirectSum _ | ParDirectSum _) as f -> (
-      match Shape.diag_entry f with
+      match Shape.diag_entry ~roots f with
       | Some d -> emit_data ~emit embed (fun k -> k) (Some d)
       | None ->
           raise
@@ -184,20 +185,20 @@ let rec compile ~explicit ~emit embed (f : Formula.t) =
       let embed =
         { embed with mu = (match embed.mu with None -> Some mu | s -> s) }
       in
-      compile ~explicit ~emit embed a
-  | Vec (_, a) -> compile ~explicit ~emit embed a
+      compile ~explicit ~roots ~emit embed a
+  | Vec (_, a) -> compile ~explicit ~roots ~emit embed a
   | VTensor (a, nu) ->
       (* the ν-way block structure survives loop merging as a tag on the
          emitted pass; backends re-verify lane legality structurally *)
       let embed =
         { embed with vec = (match embed.vec with None -> Some nu | s -> s) }
       in
-      compile ~explicit ~emit embed (Tensor (a, I nu))
+      compile ~explicit ~roots ~emit embed (Tensor (a, I nu))
   | VShuffle (k, nu) ->
       let embed =
         { embed with vec = (match embed.vec with None -> Some nu | s -> s) }
       in
-      compile ~explicit ~emit embed
+      compile ~explicit ~roots ~emit embed
         (Tensor (I k, Perm (Perm.L (nu * nu, nu))))
 
 and emit_leaf ~emit embed kernel =
@@ -247,7 +248,7 @@ and emit_data ~emit embed sigma scale_local =
       hint = embed.hint @ [ d ];
     }
 
-and compile_chain ~explicit ~emit embed factors =
+and compile_chain ~explicit ~roots ~emit embed factors =
   let d = embed.dim in
   (* Partition, in execution order (reverse product order), into compute
      segments each carrying the data factors executed just before it. *)
@@ -268,20 +269,20 @@ and compile_chain ~explicit ~emit embed factors =
   match segs with
   | [] ->
       (* Pure data chain: one merged explicit pass. *)
-      let loc, scale = merge_decors leading in
+      let loc, scale = merge_decors ~roots leading in
       emit_data ~emit
         { embed with mu = merge_mu embed.mu (decors_mu leading) }
         loc scale
   | _ ->
       let nsegs = List.length segs in
-      let trail_loc, trail_scale = merge_decors leading in
+      let trail_loc, trail_scale = merge_decors ~roots leading in
       let trail_is_id = leading = [] in
       let inv_trail =
         if trail_is_id then fun k -> k else invert_local d trail_loc
       in
       List.iteri
         (fun idx (comp, decors) ->
-          let loc, lscale = merge_decors decors in
+          let loc, lscale = merge_decors ~roots decors in
           let first = idx = 0 and last = idx = nsegs - 1 in
           let in_of it k =
             let k' = loc k in
@@ -322,7 +323,7 @@ and compile_chain ~explicit ~emit embed factors =
               (merge_mu embed.mu (decors_mu decors))
               (if last then decors_mu leading else None)
           in
-          compile ~explicit ~emit
+          compile ~explicit ~roots ~emit
             {
               count = embed.count;
               dim = d;
@@ -354,7 +355,9 @@ let of_formula ?(explicit_data = false) f =
       hint = [];
     }
   in
-  compile ~explicit:explicit_data ~emit root f;
+  (* one roots-of-unity memo per compilation: every twiddle of [f] is
+     evaluated through it, by materialization, fusion and validation *)
+  compile ~explicit:explicit_data ~roots:(Diag.roots ()) ~emit root f;
   { n; passes = List.rev !acc }
 
 let pass_flops (p : pass) =

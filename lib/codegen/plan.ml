@@ -137,14 +137,32 @@ let detect ~count ~radix ~exts f =
   in
   let ok = ref true in
   (try
-     if count * radix <= affine_check_threshold then
+     if count * radix <= affine_check_threshold then begin
+       (* every point, in order: the prediction's base is carried by an
+          odometer over [exts] (as the executors carry theirs), not
+          re-derived from the digits of [i] at every point *)
+       let dg = Array.make k 0 in
+       let base = ref f00 in
        for i = 0 to count - 1 do
          for l = 0 to radix - 1 do
-           if not (check i l) then (
+           if f i l <> !base + (l * dl) then (
              ok := false;
              raise Exit)
+         done;
+         let j = ref (k - 1) in
+         let moving = ref true in
+         while !moving do
+           dg.(!j) <- dg.(!j) + 1;
+           base := !base + strs.(!j);
+           if dg.(!j) = exts.(!j) && !j > 0 then begin
+             dg.(!j) <- 0;
+             base := !base - (exts.(!j) * strs.(!j));
+             decr j
+           end
+           else moving := false
          done
        done
+     end
      else begin
        (* Deterministic dense sample: boundaries, powers of two and an
           even spread.  Our compiler only produces per-level affine maps;
@@ -608,8 +626,8 @@ let execute t x y =
     run_pass_range t.ctx p ~src ~dst ~lo:0 ~hi:p.count
   done
 
-(* Per-iteration address computation (analysis/simulation path — this
-   allocates closures and is not used by the executors). *)
+(* Per-iteration address computation (simulation and sampled-check path
+   — this allocates closures and is not used by the executors). *)
 let iter_addresses (p : pass) =
   match p.addr with
   | Strided { suffix; exts; gstrs; sstrs; g0; s0; gl; sl } ->
@@ -626,6 +644,52 @@ let iter_addresses (p : pass) =
       fun i ->
         let base = i * p.radix in
         ((fun l -> gidx.(base + l)), fun l -> sidx.(base + l))
+
+(* Footprint walk over [lo, hi): the analyses' view of every (iteration,
+   gather, scatter) point, in the executors' order.  The strided case
+   carries its bases with the executors' odometer, so the walk allocates
+   only the digit buffer whatever the range. *)
+let footprint (p : pass) ~lo ~hi f =
+  let r = p.radix in
+  match p.addr with
+  | Strided { exts; suffix; gstrs; sstrs; g0; s0; gl; sl } ->
+      if lo < hi then begin
+        let k = Array.length exts in
+        let dig = Array.make k 0 in
+        let bg = ref g0 and bs = ref s0 in
+        for j = 0 to k - 1 do
+          let d = lo / suffix.(j + 1) mod exts.(j) in
+          dig.(j) <- d;
+          bg := !bg + (d * gstrs.(j));
+          bs := !bs + (d * sstrs.(j))
+        done;
+        for i = lo to hi - 1 do
+          for l = 0 to r - 1 do
+            f i (!bg + (l * gl)) (!bs + (l * sl))
+          done;
+          let j = ref (k - 1) in
+          let moving = ref true in
+          while !moving do
+            dig.(!j) <- dig.(!j) + 1;
+            bg := !bg + gstrs.(!j);
+            bs := !bs + sstrs.(!j);
+            if dig.(!j) = exts.(!j) && !j > 0 then begin
+              dig.(!j) <- 0;
+              bg := !bg - (exts.(!j) * gstrs.(!j));
+              bs := !bs - (exts.(!j) * sstrs.(!j));
+              decr j
+            end
+            else moving := false
+          done
+        done
+      end
+  | Indexed { gidx; sidx } ->
+      for i = lo to hi - 1 do
+        let base = i * r in
+        for l = 0 to r - 1 do
+          f i gidx.(base + l) sidx.(base + l)
+        done
+      done
 
 let total_flops t = Array.fold_left (fun acc p -> acc + p.flops) 0 t.passes
 

@@ -175,8 +175,20 @@ val src_dst_of_pass :
 
 val iter_addresses : pass -> int -> (int -> int) * (int -> int)
 (** [iter_addresses p i] is the (gather, scatter) element-index functions
-    of iteration [i] — the simulator's and the elision analysis's view of
-    a pass's memory footprint.  Allocates closures; not an executor path. *)
+    of iteration [i] — the simulator's view of a pass's memory footprint
+    (it needs each iteration's reads before its writes), and the
+    validator's for its sampled per-point checks.  Allocates closures;
+    not an executor path.  Whole-range footprint analyses use
+    {!footprint}. *)
+
+val footprint : pass -> lo:int -> hi:int -> (int -> int -> int -> unit) -> unit
+(** [footprint p ~lo ~hi f] calls [f i g s] for every point of iterations
+    [lo] to [hi - 1], in execution order (iteration-major, then element): [g]
+    and [s] are the gather and scatter positions of element [l] of
+    iteration [i], exactly as {!iter_addresses}[ p i] gives them.  Walks
+    the materialized odometer (or the index tables) without allocating
+    beyond one digit buffer per call — the path of the barrier-elision,
+    false-sharing and validation footprints. *)
 
 val clone : t -> t
 (** A plan sharing all immutable state (kernels, index tables, twiddles)

@@ -98,21 +98,14 @@ let compute_elision ?(capture = false) ~workers (plan : Plan.t) =
       if pk.Plan.par <> None && pk1.Plan.par <> None then begin
         Array.fill writer 0 n (-1);
         Array.fill reader 0 n (-1);
-        let addrs_k = Plan.iter_addresses pk in
-        let addrs_k1 = Plan.iter_addresses pk1 in
         (* footprint of pass k per worker *)
         for w = 0 to workers - 1 do
           List.iter
             (fun (lo, hi) ->
-              for i = lo to hi - 1 do
-                let g, s = addrs_k i in
-                for l = 0 to pk.Plan.radix - 1 do
-                  writer.(s l) <- w;
-                  let gp = g l in
+              Plan.footprint pk ~lo ~hi (fun _ gp sp ->
+                  writer.(sp) <- w;
                   if reader.(gp) = -1 then reader.(gp) <- w
-                  else if reader.(gp) <> w then reader.(gp) <- -2
-                done
-              done)
+                  else if reader.(gp) <> w then reader.(gp) <- -2))
             (worker_range ~align:(pass_align pk) Block ~count:pk.Plan.count
                ~workers w)
         done;
@@ -123,22 +116,18 @@ let compute_elision ?(capture = false) ~workers (plan : Plan.t) =
            for w = 0 to workers - 1 do
              List.iter
                (fun (lo, hi) ->
-                 for i = lo to hi - 1 do
-                   let g, s = addrs_k1 i in
-                   for l = 0 to pk1.Plan.radix - 1 do
-                     if writer.(g l) <> w then begin
+                 Plan.footprint pk1 ~lo ~hi (fun _ gp sp ->
+                     if writer.(gp) <> w then begin
                        ok := false;
                        raise Exit
                      end;
                      if aliasing then begin
-                       let rd = reader.(s l) in
+                       let rd = reader.(sp) in
                        if rd <> -1 && rd <> w then begin
                          ok := false;
                          raise Exit
                        end
-                     end
-                   done
-                 done)
+                     end))
                (worker_range ~align:(pass_align pk1) Block
                   ~count:pk1.Plan.count ~workers w)
            done
@@ -172,16 +161,10 @@ let compute_elision ?(capture = false) ~workers (plan : Plan.t) =
       | None ->
           let p = plan.Plan.passes.(k) in
           let a = Array.make n (-1) in
-          let addrs = Plan.iter_addresses p in
           for w = 0 to workers - 1 do
             List.iter
               (fun (lo, hi) ->
-                for i = lo to hi - 1 do
-                  let _, s = addrs i in
-                  for l = 0 to p.Plan.radix - 1 do
-                    a.(s l) <- w
-                  done
-                done)
+                Plan.footprint p ~lo ~hi (fun _ _ sp -> a.(sp) <- w))
               (worker_range ~align:(pass_align p) Block ~count:p.Plan.count
                  ~workers w)
           done;
@@ -256,22 +239,17 @@ let count_misaligned ~workers (plan : Plan.t) =
         | Some _, Some mu when mu > 1 ->
             let nlines = ((plan.Plan.n - 1) / mu) + 1 in
             let owner = Array.make nlines (-1) in
-            let addrs = Plan.iter_addresses p in
             let align = pass_align p in
             for w = 0 to workers - 1 do
               List.iter
                 (fun (lo, hi) ->
-                  for i = lo to hi - 1 do
-                    let _, s = addrs i in
-                    for l = 0 to p.Plan.radix - 1 do
-                      let line = s l / mu in
+                  Plan.footprint p ~lo ~hi (fun _ _ sp ->
+                      let line = sp / mu in
                       if owner.(line) = -1 then owner.(line) <- w
                       else if owner.(line) >= 0 && owner.(line) <> w then begin
                         owner.(line) <- -2;
                         incr shared
-                      end
-                    done
-                  done)
+                      end))
                 (worker_range ~align Block ~count:p.Plan.count ~workers w)
             done
         | _ -> ())
@@ -365,19 +343,12 @@ let wrap_cond_b ~workers (plan : Plan.t) =
   let pk = plan.Plan.passes.(np - 1) and pk1 = plan.Plan.passes.(0) in
   let n = plan.Plan.n in
   let reader = Array.make n (-1) in
-  let addrs_k = Plan.iter_addresses pk in
-  let addrs_k1 = Plan.iter_addresses pk1 in
   for w = 0 to workers - 1 do
     List.iter
       (fun (lo, hi) ->
-        for i = lo to hi - 1 do
-          let g, _ = addrs_k i in
-          for l = 0 to pk.Plan.radix - 1 do
-            let gp = g l in
+        Plan.footprint pk ~lo ~hi (fun _ gp _ ->
             if reader.(gp) = -1 then reader.(gp) <- w
-            else if reader.(gp) <> w then reader.(gp) <- -2
-          done
-        done)
+            else if reader.(gp) <> w then reader.(gp) <- -2))
       (worker_range ~align:(pass_align pk) Block ~count:pk.Plan.count
          ~workers w)
   done;
@@ -386,16 +357,12 @@ let wrap_cond_b ~workers (plan : Plan.t) =
      for w = 0 to workers - 1 do
        List.iter
          (fun (lo, hi) ->
-           for i = lo to hi - 1 do
-             let _, s = addrs_k1 i in
-             for l = 0 to pk1.Plan.radix - 1 do
-               let rd = reader.(s l) in
+           Plan.footprint pk1 ~lo ~hi (fun _ _ sp ->
+               let rd = reader.(sp) in
                if rd <> -1 && rd <> w then begin
                  ok := false;
                  raise Exit
-               end
-             done
-           done)
+               end))
          (worker_range ~align:(pass_align pk1) Block ~count:pk1.Plan.count
             ~workers w)
      done

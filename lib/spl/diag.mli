@@ -17,6 +17,26 @@ val size : t -> int
 val entry : t -> int -> Complex.t
 (** [entry d i] is the [i]-th diagonal entry. *)
 
+type roots
+(** A memo of root-of-unity tables, keyed by the order [N]: entry [k] of
+    the order-[N] table is [Twiddle.omega N k], all computed the first
+    time the memo meets order [N].
+    One memo serves one IR compilation ([Spiral_codegen.Ir.of_formula]);
+    it is never global, so tables live exactly as long as the entry
+    functions that captured them. *)
+
+val roots : unit -> roots
+(** A fresh, empty memo. *)
+
+val memo_entry : roots -> t -> int -> Complex.t
+(** [memo_entry r d] is {!entry}[ d] served from [r]'s tables, bit for bit
+    (each twiddle is the same [Twiddle.omega] value).  The table is
+    looked up (and created when missing) at partial application. *)
+
+val roots_built : unit -> int
+(** Number of root tables created by the calling domain so far (tests
+    use it to check that two compilations share no memo). *)
+
 val to_array : t -> Complex.t array
 
 val to_table : t -> float array

@@ -27,12 +27,16 @@ let rec perm_sigma f =
   | Smp (_, _, a) | Vec (_, a) -> perm_sigma a
   | DFT _ | WHT _ | Diag _ | DirectSum _ | ParDirectSum _ -> None
 
-let rec diag_entry f =
+let rec diag_entry ?roots f =
   match f with
-  | Diag d -> Some (Diag.entry d)
+  | Diag d ->
+      Some
+        (match roots with
+        | Some r -> Diag.memo_entry r d
+        | None -> Diag.entry d)
   | I _ -> Some (fun _ -> Complex.one)
   | DirectSum fs | ParDirectSum fs ->
-      let blocks = List.map (fun g -> (dim g, diag_entry g)) fs in
+      let blocks = List.map (fun g -> (dim g, diag_entry ?roots g)) fs in
       if List.for_all (fun (_, e) -> e <> None) blocks then
         let blocks =
           List.map (fun (d, e) -> (d, Option.get e)) blocks
@@ -47,18 +51,18 @@ let rec diag_entry f =
             find 0 blocks)
       else None
   | Tensor (I m, a) -> (
-      match diag_entry a with
+      match diag_entry ?roots a with
       | Some e ->
           let da = dim a in
           ignore m;
           Some (fun k -> e (k mod da))
       | None -> None)
   | Tensor (a, I q) -> (
-      match diag_entry a with
+      match diag_entry ?roots a with
       | Some e -> Some (fun k -> e (k / q))
       | None -> None)
-  | Smp (_, _, a) | Vec (_, a) -> diag_entry a
-  | VTensor (a, nu) -> diag_entry (Tensor (a, I nu))
+  | Smp (_, _, a) | Vec (_, a) -> diag_entry ?roots a
+  | VTensor (a, nu) -> diag_entry ?roots (Tensor (a, I nu))
   | DFT _ | WHT _ | Perm _ | Compose _ | Tensor _ | ParTensor _
   | CacheTensor _ | VShuffle _ ->
       None

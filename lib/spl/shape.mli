@@ -11,10 +11,12 @@ val perm_sigma : Formula.t -> (int -> int) option
     ([y.(k) = x.(σ k)]); covers [Perm], [I], tensor products, compositions
     and the tagged constructs ([ParTensor], [CacheTensor]) of permutations. *)
 
-val diag_entry : Formula.t -> (int -> Complex.t) option
+val diag_entry : ?roots:Diag.roots -> Formula.t -> (int -> Complex.t) option
 (** [diag_entry f] is [Some d] when [f] denotes a diagonal matrix; covers
     [Diag], [I], direct sums of diagonals ([DirectSum], [ParDirectSum]) and
-    tensor products with identities. *)
+    tensor products with identities.  With [roots], twiddle entries are
+    served from that memo ({!Diag.memo_entry}, bit-identical); without,
+    they are computed directly ({!Diag.entry}). *)
 
 val is_data : Formula.t -> bool
 (** [true] when the formula is permutation- or diagonal-shaped (pure data

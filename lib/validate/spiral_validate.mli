@@ -11,7 +11,7 @@
       rewritten index functions);
     - [Spiral_smp.Par_exec.elision_witness] returns per-boundary
       read/write-set witnesses ({!check_elision} re-derives the
-      footprints from {!Spiral_codegen.Plan.iter_addresses} and
+      footprints with {!Spiral_codegen.Plan.footprint} and
       re-checks DESIGN.md §5a's conditions A/B and the no-chain rule);
     - the planner's vector lowering carries the scalar and lowered
       formulas ({!check_vectorization} compares their structural
@@ -70,7 +70,11 @@ val check_fusion :
     in-range gather and bijective scatter; replaying the composition
     reproduces the fused gather/scatter/load-scale pointwise (sampled or
     exhaustive); fused compute passes keep their original kernel and
-    shape. *)
+    shape.  Outside [Exhaustive] mode, a claim that composed nothing and
+    whose fused pass is physically the original pass record is
+    discharged without a replay (counted under
+    ["validate.fusion_identity"]): the record carries the original
+    gather, scatter, load-scale and kernel. *)
 
 val check_partition :
   ?mode:mode -> workers:int -> Spiral_codegen.Plan.t -> (unit, string) result

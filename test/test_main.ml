@@ -10,6 +10,7 @@ let () =
       ("codegen", Test_codegen.suite);
       ("optimize", Test_optimize.suite);
       ("validate", Test_validate.suite);
+      ("planning", Test_planning.suite);
       ("smp", Test_smp.suite);
       ("sim", Test_sim.suite);
       ("search", Test_search.suite);

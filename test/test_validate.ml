@@ -106,6 +106,92 @@ let test_tampered_fusion () =
   let swapped = { cert with Optimize.fused = cert.Optimize.original } in
   is_error "wrong fused IR" (V.check_fusion swapped)
 
+(* Identity claims (nothing composed, the fused pass physically the
+   original record) discharge structurally under [Sampled]; any other
+   claim, including a copy of the original record, is replayed *)
+let test_identity_claims () =
+  let plan = Plan.of_formula (mc_formula ()) in
+  let cert = Option.get plan.Plan.fusion_cert in
+  let claims = cert.Optimize.claims in
+  let identity (c : Optimize.fusion_claim) =
+    c.Optimize.src <> None && c.Optimize.gchain = [] && c.Optimize.schain = []
+  in
+  check cb "default compile: every claim is an identity claim" true
+    (claims <> [] && List.for_all identity claims);
+  Counters.reset ();
+  is_ok "identity claims" (V.check_fusion ~mode:V.Sampled cert);
+  check ci "one structural discharge per claim" (List.length claims)
+    (Counters.get "validate.fusion_identity");
+  Counters.reset ();
+  is_ok "identity claims, exhaustive" (V.check_fusion ~mode:V.Exhaustive cert);
+  check ci "exhaustive replays every claim" 0
+    (Counters.get "validate.fusion_identity");
+  (* swap fused pass [k] for a copy of itself: an exact copy is not [==]
+     to the original, so it is replayed (and passes); a copy whose
+     gather differs at one point is replayed and rejected *)
+  let k = List.length claims / 2 in
+  let with_pass k f =
+    {
+      cert with
+      Optimize.fused =
+        {
+          cert.Optimize.fused with
+          Ir.passes =
+            List.mapi (fun j p -> if j = k then f p else p)
+              cert.Optimize.fused.Ir.passes;
+        };
+    }
+  in
+  Counters.reset ();
+  is_ok "exact copy"
+    (V.check_fusion ~mode:V.Sampled
+       (with_pass k (fun (b : Ir.pass) -> { b with Ir.gather = b.Ir.gather })));
+  check ci "the copy is replayed, not discharged" (List.length claims - 1)
+    (Counters.get "validate.fusion_identity");
+  let tampered =
+    with_pass k (fun (b : Ir.pass) ->
+        let it0 = b.Ir.count / 2 and l0 = b.Ir.radix - 1 in
+        {
+          b with
+          Ir.gather =
+            (fun it l ->
+              if it = it0 && l = l0 then b.Ir.gather it l + 1
+              else b.Ir.gather it l);
+        })
+  in
+  is_error "copy differing at one point" (V.check_fusion ~mode:V.Sampled tampered);
+  is_error "copy differing at one point, exhaustive"
+    (V.check_fusion ~mode:V.Exhaustive tampered);
+  (* the original record under a claim that says a chain was composed
+     into it is replayed too, and the replay catches the mismatch *)
+  let six =
+    match Derive.six_step_dft ~p:2 ~mu:4 ~m:16 ~n:16 with
+    | Ok f -> f
+    | Error e -> Alcotest.fail (Derive.error_to_string e)
+  in
+  let fcert =
+    Option.get (Plan.of_formula ~explicit_data:true ~fuse:true six).Plan.fusion_cert
+  in
+  let orig = Array.of_list fcert.Optimize.original.Ir.passes in
+  let unfused =
+    {
+      fcert with
+      Optimize.fused =
+        {
+          fcert.Optimize.fused with
+          Ir.passes =
+            List.map2
+              (fun (p : Ir.pass) (c : Optimize.fusion_claim) ->
+                match c.Optimize.src with
+                | Some i when c.Optimize.gchain <> [] -> orig.(i)
+                | _ -> p)
+              fcert.Optimize.fused.Ir.passes fcert.Optimize.claims;
+        };
+    }
+  in
+  is_error "original pass under a composed chain"
+    (V.check_fusion ~mode:V.Sampled unfused)
+
 let test_tampered_elision () =
   let plan = Plan.of_formula (mc_formula ()) in
   let workers = 4 in
@@ -277,6 +363,8 @@ let suite =
       test_validate_fusion_cert;
     Alcotest.test_case "tampered fusion certificate rejected" `Quick
       test_tampered_fusion;
+    Alcotest.test_case "identity claims: structural discharge" `Quick
+      test_identity_claims;
     Alcotest.test_case "tampered elision claims rejected" `Quick
       test_tampered_elision;
     Alcotest.test_case "tampered vec certificate rejected" `Quick
