@@ -7,7 +7,9 @@
     fast path), unit-strided (the dominant contiguous [gl = sl = 1] case,
     monomorphized so the inner loop is straight-line loads/stores), or
     indexed (precomputed index tables) — each optionally with a twiddle
-    table applied to the inputs on load ("load scale").  Complex data is
+    table applied to the inputs on load ("load scale").  Twiddled entry
+    points are bit-identical to scaling the inputs first (same products,
+    same order) and running the untwiddled kernel.  Complex data is
     interleaved: element [k] occupies [x.(2k), x.(2k+1)].
 
     Every entry point takes a {!scratch} record as its first argument and
@@ -22,9 +24,16 @@ type scratch = {
   h2 : float array;
 }
 (** Preallocated per-worker working storage (each buffer holds
-    [max_radix] complex elements).  [stage] receives gathered/
-    twiddle-scaled inputs, [out] the result of generic kernels; [h1]/[h2]
-    are the half-transform buffers of the recursive dft32/dft16 kernels. *)
+    [max_radix] complex elements).  [stage] receives gathered or
+    twiddle-scaled inputs on the paths that still stage them: every entry
+    point of {!make}-built codelets (the dense-matrix DFT fallback,
+    {!wht}, {!copy}, custom kernels), the untwiddled [indexed] entry
+    points of dft16/dft32, and the planar [Vcodelet] kernels.  The
+    unrolled DFT codelets (radices 1, 2, 3, 4, 8, 16, 32) apply twiddles
+    in registers as they load, so none of their twiddled entry points
+    touches [stage].  [out] holds the result of staged kernels; [h1]/[h2]
+    are the half-transform buffers of the recursive dft32/dft16
+    kernels. *)
 
 val make_scratch : unit -> scratch
 
@@ -61,7 +70,8 @@ type t = {
 val dft : int -> t
 (** [dft r] is the DFT codelet of size [r]: unrolled kernels for
     r ∈ {1, 2, 3, 4, 8, 16, 32}, a precomputed dense matrix-vector kernel
-    otherwise.  Results are cached. *)
+    otherwise.  Results are cached under a lock, so concurrent planners
+    on several domains get the same physical instance per radix. *)
 
 val wht : int -> t
 (** Walsh-Hadamard codelet, [r] a power of two (in-register butterflies). *)

@@ -5,15 +5,22 @@ let with_lock f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
+(* [Par_exec] calls [incr] on every parallel execution, so [incr], [get]
+   and [observe] lock and unlock directly: no [Fun.protect] closure, no
+   [Some] from [find_opt].  Nothing between the two can raise (hashing
+   and string comparison do not). *)
 let incr ?(by = 1) name =
-  with_lock (fun () ->
-      match Hashtbl.find_opt table name with
-      | Some r -> r := !r + by
-      | None -> Hashtbl.add table name (ref by))
+  Mutex.lock lock;
+  (match Hashtbl.find table name with
+  | r -> r := !r + by
+  | exception Not_found -> Hashtbl.add table name (ref by));
+  Mutex.unlock lock
 
 let get name =
-  with_lock (fun () ->
-      match Hashtbl.find_opt table name with Some r -> !r | None -> 0)
+  Mutex.lock lock;
+  let v = match Hashtbl.find table name with r -> !r | exception Not_found -> 0 in
+  Mutex.unlock lock;
+  v
 
 let snapshot () =
   with_lock (fun () ->
@@ -26,23 +33,30 @@ let snapshot () =
 
 type obs = { count : int; sum : float; max : float }
 
-let obs_table : (string, obs ref) Hashtbl.t = Hashtbl.create 16
+(* The running summary is an all-float record, stored flat, so folding
+   in a sample allocates nothing (the count is exact up to 2^53). *)
+type acc = { mutable n : float; mutable s : float; mutable m : float }
+
+let obs_table : (string, acc) Hashtbl.t = Hashtbl.create 16
 
 let observe name v =
-  with_lock (fun () ->
-      match Hashtbl.find_opt obs_table name with
-      | Some r ->
-          let o = !r in
-          r := { count = o.count + 1; sum = o.sum +. v; max = Float.max o.max v }
-      | None -> Hashtbl.add obs_table name (ref { count = 1; sum = v; max = v }))
+  Mutex.lock lock;
+  (match Hashtbl.find obs_table name with
+  | a ->
+      a.n <- a.n +. 1.0;
+      a.s <- a.s +. v;
+      a.m <- Float.max a.m v
+  | exception Not_found -> Hashtbl.add obs_table name { n = 1.0; s = v; m = v });
+  Mutex.unlock lock
+
+let summary a = { count = int_of_float a.n; sum = a.s; max = a.m }
 
 let observation name =
-  with_lock (fun () ->
-      Option.map (fun r -> !r) (Hashtbl.find_opt obs_table name))
+  with_lock (fun () -> Option.map summary (Hashtbl.find_opt obs_table name))
 
 let observations () =
   with_lock (fun () ->
-      Hashtbl.fold (fun k r acc -> (k, !r) :: acc) obs_table [])
+      Hashtbl.fold (fun k a acc -> (k, summary a) :: acc) obs_table [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset () =

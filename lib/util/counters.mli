@@ -5,8 +5,10 @@
     sequential fallback, a salvaged wisdom line — so callers and
     operators can distinguish "fast because everything worked" from
     "correct because we degraded".  Counting is mutex-protected and safe
-    from any domain; it only happens on failure paths, never in the
-    per-sample hot loop. *)
+    from any domain.  {!incr}, {!get} and {!observe} allocate nothing, so
+    per-execution counters (e.g. the parallel executor's) cost one
+    uncontended lock, never minor-heap traffic; they still stay out of
+    the per-sample hot loop. *)
 
 val incr : ?by:int -> string -> unit
 (** [incr name] adds [by] (default 1) to the named counter, creating it

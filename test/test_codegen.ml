@@ -146,6 +146,140 @@ let test_codelet_twiddled () =
         (Cvec.max_abs_diff (run_tw_u c x tw) (run_tw c x tw) = 0.0))
     codelet_sizes
 
+(* Twiddled entry points apply the twiddle inside the kernel's loads;
+   they must be bit-identical to scaling into a buffer first and running
+   the untwiddled kernel, for any twiddle offset, strides and index
+   tables. *)
+let staged_scale src tw t0 r addr =
+  let buf = Array.make (2 * r) 0.0 in
+  for l = 0 to r - 1 do
+    let s = addr l in
+    let xr = src.(2 * s) and xi = src.((2 * s) + 1) in
+    let wr = tw.(2 * (t0 + l)) and wi = tw.((2 * (t0 + l)) + 1) in
+    buf.(2 * l) <- (wr *. xr) -. (wi *. xi);
+    buf.((2 * l) + 1) <- (wr *. xi) +. (wi *. xr)
+  done;
+  buf
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let test_codelet_twiddled_bits () =
+  List.iter
+    (fun r ->
+      let c = Codelet.dft r in
+      let n = (3 * r) + 7 in
+      let src = Cvec.random ~seed:(r + 40) n in
+      let t0 = 5 in
+      let tw = Cvec.random ~seed:(r + 41) (t0 + r + 3) in
+      let fresh () = Array.make (2 * n) 0.25 in
+      (* a nonzero base that keeps all r elements in range *)
+      let base stride off = if stride < 0 then n - 1 - off else off in
+      List.iter
+        (fun (gl, sl) ->
+          let g0 = base gl 1 and s0 = base sl 2 in
+          let want = fresh () and got = fresh () in
+          c.strided cs (staged_scale src tw t0 r (fun l -> g0 + (l * gl))) 0 1
+            want s0 sl;
+          c.strided_tw cs src g0 gl got s0 sl tw t0;
+          check cb (Printf.sprintf "dft%d strided_tw gl=%d sl=%d" r gl sl) true
+            (same_bits want got))
+        [ (1, 1); (3, 1); (1, 3); (3, 3); (-1, 1); (1, -1); (-1, 3) ];
+      let want = fresh () and got = fresh () in
+      c.strided cs (staged_scale src tw t0 r (fun l -> 3 + l)) 0 1 want 4 1;
+      c.strided_u_tw cs src 3 got 4 tw t0;
+      check cb (Printf.sprintf "dft%d strided_u_tw" r) true (same_bits want got);
+      (* permuted index tables behind nonzero bases *)
+      let gb = 2 and sb = 3 in
+      let perm = Array.init n (fun i -> i) in
+      let st = Random.State.make [| r |] in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let gidx = Array.init (gb + r) (fun l -> perm.(max 0 (l - gb))) in
+      let sidx = Array.init (sb + r) (fun l -> perm.(n - 1 - max 0 (l - sb))) in
+      let staged = Array.make (2 * r) 0.0 in
+      c.strided cs (staged_scale src tw t0 r (fun l -> gidx.(gb + l))) 0 1
+        staged 0 1;
+      let want = fresh () and got = fresh () in
+      for l = 0 to r - 1 do
+        let d = sidx.(sb + l) in
+        want.(2 * d) <- staged.(2 * l);
+        want.((2 * d) + 1) <- staged.((2 * l) + 1)
+      done;
+      c.indexed_tw cs src gidx gb got sidx sb tw t0;
+      check cb (Printf.sprintf "dft%d indexed_tw" r) true (same_bits want got))
+    codelet_sizes
+
+let alloc_words iters call =
+  call ();
+  call ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    call ()
+  done;
+  Gc.minor_words () -. w0
+
+(* Every entry point of every codelet radix is allocation-free on its
+   own, not only inside the plans the plan-level guards happen to run. *)
+let test_codelet_alloc_free () =
+  List.iter
+    (fun r ->
+      let c = Codelet.dft r in
+      let src = Cvec.random ~seed:r (2 * r) and dst = Cvec.create (2 * r) in
+      let tw = Cvec.random ~seed:(r + 1) (2 * r) in
+      let idx = Array.init r (fun l -> r - 1 - l) in
+      List.iter
+        (fun (entry, call) ->
+          check cb
+            (Printf.sprintf "dft%d %s allocation-free" r entry)
+            true
+            (alloc_words 1000 call < 8.0))
+        [
+          ("strided", fun () -> c.strided cs src 1 1 dst 0 1);
+          ("strided_u", fun () -> c.strided_u cs src 1 dst 0);
+          ("strided_tw", fun () -> c.strided_tw cs src 1 1 dst 0 1 tw 1);
+          ("strided_u_tw", fun () -> c.strided_u_tw cs src 1 dst 0 tw 1);
+          ("indexed", fun () -> c.indexed cs src idx 0 dst idx 0);
+          ("indexed_tw", fun () -> c.indexed_tw cs src idx 0 dst idx 0 tw 1);
+        ])
+    codelet_sizes
+
+(* Concurrent planners fill the codelet cache from several domains; each
+   radix must still resolve to one physical instance. *)
+let test_codelet_cache_race () =
+  let radices = List.init Codelet.max_radix (fun i -> i + 1) in
+  let ready = Atomic.make 0 in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let st = Random.State.make [| d |] in
+            let order =
+              List.map (fun r -> (Random.State.bits st, r)) radices
+              |> List.sort compare |> List.map snd
+            in
+            Atomic.incr ready;
+            while Atomic.get ready < 4 do
+              Domain.cpu_relax ()
+            done;
+            List.map (fun r -> (r, Codelet.dft r)) order))
+  in
+  let seen = List.map Domain.join domains in
+  List.iter
+    (fun r ->
+      let c = Codelet.dft r in
+      check cb
+        (Printf.sprintf "dft%d: one instance across domains" r)
+        true
+        (List.for_all (fun got -> List.assoc r got == c) seen))
+    radices
+
 let test_codelet_flops_sync () =
   (* the SPL cost model and the codelet implementation must agree *)
   List.iter
@@ -532,11 +666,16 @@ let test_cemit_compile_simd_pthreads_large () =
 
 let suite =
   [
+    Alcotest.test_case "codelets: cache race" `Quick test_codelet_cache_race;
     Alcotest.test_case "codelets: strided" `Quick test_codelet_strided;
     Alcotest.test_case "codelets: negative stride" `Quick test_codelet_negative_stride;
     Alcotest.test_case "codelets: indexed" `Quick test_codelet_indexed;
     Alcotest.test_case "codelets: permuted gather" `Quick test_codelet_indexed_scattered;
     Alcotest.test_case "codelets: twiddled load" `Quick test_codelet_twiddled;
+    Alcotest.test_case "codelets: twiddled load bit-identical" `Quick
+      test_codelet_twiddled_bits;
+    Alcotest.test_case "codelets: entry points allocation-free" `Quick
+      test_codelet_alloc_free;
     Alcotest.test_case "codelets: flops = cost model" `Quick test_codelet_flops_sync;
     Alcotest.test_case "codelets: WHT" `Quick test_codelet_wht;
     Alcotest.test_case "codelets: copy" `Quick test_codelet_copy;

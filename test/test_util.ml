@@ -242,6 +242,34 @@ let test_cmatrix_apply_vs_mul () =
   let rhs = Cmatrix.apply a (Cmatrix.apply b x) in
   check cb "assoc" true (Cvec.max_abs_diff lhs rhs < 1e-9)
 
+(* The parallel executor bumps counters on every execution, so the hot
+   counter operations must not allocate (no closure, no option). *)
+let test_counters_alloc_free () =
+  let name = "test.counters_alloc" in
+  Counters.incr name;
+  Counters.observe name 1.0;
+  let words call =
+    call ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      call ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  check cb "incr allocation-free" true (words (fun () -> Counters.incr name) < 8.0);
+  check cb "incr ~by allocation-free" true
+    (words (fun () -> Counters.incr ~by:3 name) < 8.0);
+  check cb "get allocation-free" true
+    (words (fun () -> ignore (Counters.get name : int)) < 8.0);
+  check cb "observe allocation-free" true
+    (words (fun () -> Counters.observe name 2.5) < 8.0);
+  check ci "counted" (1 + 1001 + (3 * 1001)) (Counters.get name);
+  match Counters.observation name with
+  | None -> Alcotest.fail "observation missing"
+  | Some o ->
+      check ci "observed count" 1002 o.count;
+      check cb "observed sum/max" true (o.sum = 1.0 +. (1001.0 *. 2.5) && o.max = 2.5)
+
 let suite =
   [
     Alcotest.test_case "is_pow2" `Quick test_is_pow2;
@@ -277,4 +305,5 @@ let suite =
     Alcotest.test_case "cmatrix permutation" `Quick test_cmatrix_perm;
     Alcotest.test_case "cmatrix direct sum" `Quick test_cmatrix_direct_sum;
     Alcotest.test_case "cmatrix apply vs mul" `Quick test_cmatrix_apply_vs_mul;
+    Alcotest.test_case "counters allocation-free" `Quick test_counters_alloc_free;
   ]
